@@ -72,15 +72,6 @@ class BenchContext
     void setObservability(const ObsOptions &o) { obs_ = o; }
     const ObsOptions &observability() const { return obs_; }
 
-    /**
-     * Host threads for each job's parallel epoch/barrier core
-     * (MachineConfig::simThreads on every subsequently submitted
-     * job). The driver composes this with the job pool: it clamps
-     * the pool so jobs * simThreads stays within the hardware.
-     */
-    void setSimThreads(uint32_t n) { simThreads_ = n ? n : 1; }
-    uint32_t simThreads() const { return simThreads_; }
-
     /** Queue the standard run for a workload without waiting. */
     void prepareStandard(workload::WorkloadKind kind);
 
@@ -122,7 +113,6 @@ class BenchContext
     core::ExperimentRunner runner_;
     std::string faultJob_; ///< Job to sabotage; empty = none.
     ObsOptions obs_;       ///< Applied to every submitted job.
-    uint32_t simThreads_ = 1; ///< Parallel-core threads per job.
     core::SweepJournal *journal_ = nullptr;
     bool planOnly_ = false;
     std::vector<std::pair<std::string, core::ExperimentConfig>>

@@ -234,10 +234,6 @@ class ScriptedExecutor : public Executor
 
     void pollEvents(CpuId, Cycle) override {}
 
-    /** pollEvents is a no-op forever, so speculative windows never
-     *  need to cut short for an external event. */
-    Cycle nextEventAt(CpuId) const override { return ~Cycle(0); }
-
   private:
     /** Lower lock-id half plays the RCU-managed read-mostly tables. */
     bool
@@ -446,7 +442,7 @@ identityValidator(Pid pid, Addr vpage, Addr ppage, bool writable)
 } // namespace
 
 MachineConfig
-FuzzOptions::machineConfig() const
+FuzzOptions::machineConfig(uint64_t seed) const
 {
     MachineConfig cfg;
     cfg.numCpus = numCpus;
@@ -457,11 +453,10 @@ FuzzOptions::machineConfig() const
     cfg.l2dBytes = 4096;
     cfg.memBytes = 1ULL * 1024 * 1024;
     cfg.tlbEntries = 16;
-    // Bus queueing is exercised in both serial cores; a parallel
-    // sweep instead levels the field, since speculative windows
-    // require an inert bus (the occupancy queue is the one shared
-    // write they would race on) and the runs must stay comparable.
-    cfg.busOccupancy = simThreads > 1 ? 0 : 2;
+    // Alternate the bus model by seed parity: the inert bus takes
+    // acquireBus's zero-occupancy early return, the queueing bus
+    // exercises arbitration delay in both cores.
+    cfg.busOccupancy = seed & 1 ? 0 : 2;
     cfg.check = true;
     return cfg;
 }
@@ -469,7 +464,7 @@ FuzzOptions::machineConfig() const
 std::vector<std::vector<ScriptItem>>
 buildFuzzScripts(uint64_t seed, const FuzzOptions &opt)
 {
-    const MachineConfig cfg = opt.machineConfig();
+    const MachineConfig cfg = opt.machineConfig(seed);
     util::Rng rng(seed ^ 0xf02277a5f9a3e1cdULL);
     const std::vector<Addr> pool = buildPool(rng, opt, cfg);
     const uint64_t codeLines = cfg.memBytes / cfg.lineBytes / 2;
@@ -566,7 +561,7 @@ namespace
 {
 
 /** Which core one fuzz run exercises. */
-enum class RunMode { Fast, Slow, Parallel };
+enum class RunMode { Fast, Slow };
 
 /** One machine run; fills events/state/violations for comparison. */
 void
@@ -574,16 +569,8 @@ runOne(uint64_t seed, const FuzzOptions &opt, uint32_t prefix_len,
        RunMode mode, std::vector<Event> &events, StateSnapshot &state,
        std::vector<std::string> &violations, uint64_t &checks)
 {
-    MachineConfig cfg = opt.machineConfig();
+    MachineConfig cfg = opt.machineConfig(seed);
     cfg.slowSim = mode == RunMode::Slow;
-    if (mode == RunMode::Parallel) {
-        // A checker observes mid-window state and forces the serial
-        // fallback, so the parallel run drops it; the fast and slow
-        // runs keep theirs, so the same scripts are still invariant-
-        // checked in full.
-        cfg.check = false;
-        cfg.simThreads = opt.simThreads;
-    }
 
     std::vector<std::vector<ScriptItem>> scripts =
         buildFuzzScripts(seed, opt);
@@ -599,8 +586,6 @@ runOne(uint64_t seed, const FuzzOptions &opt, uint32_t prefix_len,
     const std::vector<Addr> pool = buildPool(rng, opt, cfg);
 
     Machine m(cfg, opt.numLocks);
-    // Null only in parallel mode (unless MPOS_CHECK forces it back,
-    // which also forces the serial fallback -- still a valid run).
     Checker *chk = m.checker();
     if (chk) {
         chk->setAbortOnViolation(false);
@@ -674,7 +659,7 @@ FuzzOutcome
 runSnapshotDifferential(uint64_t seed, const FuzzOptions &opt,
                         Cycle snapshot_at)
 {
-    const MachineConfig cfg = opt.machineConfig();
+    const MachineConfig cfg = opt.machineConfig(seed);
     const Cycle cut = std::min(std::max<Cycle>(snapshot_at, 1),
                                opt.runCycles - 1);
 
@@ -820,28 +805,22 @@ FuzzOutcome
 runDifferential(uint64_t seed, const FuzzOptions &opt,
                 uint32_t prefix_len)
 {
-    std::vector<Event> fastEv, slowEv, parEv;
-    StateSnapshot fastState, slowState, parState;
-    std::vector<std::string> fastViol, slowViol, parViol;
-    uint64_t fastChecks = 0, slowChecks = 0, parChecks = 0;
+    std::vector<Event> fastEv, slowEv;
+    StateSnapshot fastState, slowState;
+    std::vector<std::string> fastViol, slowViol;
+    uint64_t fastChecks = 0, slowChecks = 0;
 
     runOne(seed, opt, prefix_len, RunMode::Fast, fastEv, fastState,
            fastViol, fastChecks);
     runOne(seed, opt, prefix_len, RunMode::Slow, slowEv, slowState,
            slowViol, slowChecks);
-    const bool par = opt.simThreads > 1;
-    if (par)
-        runOne(seed, opt, prefix_len, RunMode::Parallel, parEv,
-               parState, parViol, parChecks);
 
     FuzzOutcome out;
-    out.eventsCompared = fastEv.size() + (par ? parEv.size() : 0);
-    out.checksPerformed = fastChecks + slowChecks + parChecks;
+    out.eventsCompared = fastEv.size();
+    out.checksPerformed = fastChecks + slowChecks;
     out.violations = fastViol;
     out.violations.insert(out.violations.end(), slowViol.begin(),
                           slowViol.end());
-    out.violations.insert(out.violations.end(), parViol.begin(),
-                          parViol.end());
 
     std::ostringstream detail;
     if (!out.violations.empty()) {
@@ -866,24 +845,6 @@ runDifferential(uint64_t seed, const FuzzOptions &opt,
         out.ok = false;
         detail << "final machine state differs between fast and "
                   "reference runs (identical event streams)";
-    } else if (par && parEv != fastEv) {
-        out.ok = false;
-        const size_t n = std::min(parEv.size(), fastEv.size());
-        size_t i = 0;
-        while (i < n && parEv[i] == fastEv[i])
-            ++i;
-        detail << "parallel-core event stream diverges from fast at "
-               << "index " << i << " (parallel " << parEv.size()
-               << " events, fast " << fastEv.size() << "): parallel="
-               << (i < parEv.size() ? describeEvent(parEv[i])
-                                    : std::string("<end>"))
-               << " fast="
-               << (i < fastEv.size() ? describeEvent(fastEv[i])
-                                     : std::string("<end>"));
-    } else if (par && !(parState == fastState)) {
-        out.ok = false;
-        detail << "final machine state differs between parallel and "
-                  "fast runs (identical event streams)";
     }
     out.detail = detail.str();
     return out;
@@ -907,7 +868,7 @@ minimizeFailingPrefix(uint64_t n,
 FaultRunRecord
 runFaulted(uint64_t seed, const FuzzOptions &opt)
 {
-    MachineConfig cfg = opt.machineConfig();
+    MachineConfig cfg = opt.machineConfig(seed);
     // The campaign exercises the failure paths, not the differential
     // property; the checkers stay out of the way (a forced MPOS_CHECK
     // still works, see below).
@@ -1095,7 +1056,7 @@ writeBytes(const std::string &path, const std::vector<uint8_t> &bytes)
 std::vector<uint8_t>
 buildCorruptBaseImage(uint64_t seed, const FuzzOptions &opt)
 {
-    const MachineConfig cfg = opt.machineConfig();
+    const MachineConfig cfg = opt.machineConfig(seed);
     std::vector<std::vector<ScriptItem>> scripts =
         buildFuzzScripts(seed, opt);
     FuzzRig rig(cfg, opt);
@@ -1123,7 +1084,7 @@ runCorruptCampaign(uint64_t seed, uint32_t mutations,
 {
     CorruptCampaignResult out;
     const FuzzOptions opt = base;
-    const MachineConfig cfg = opt.machineConfig();
+    const MachineConfig cfg = opt.machineConfig(seed);
 
     const std::vector<uint8_t> snapBase =
         buildCorruptBaseImage(seed, opt);

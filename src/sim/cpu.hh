@@ -271,11 +271,10 @@ class Executor
     virtual void pollEvents(CpuId cpu, Cycle now) = 0;
 
     /**
-     * Earliest cycle at which pollEvents(cpu, t) could do anything
-     * for any t below the returned value. The parallel core caps its
-     * speculation windows here so every poll inside a window is a
-     * provable no-op. The conservative default (0) disables window
-     * speculation entirely for executors that do not implement it.
+     * The executor's next interrupt for cpu: pollEvents(cpu, t) is a
+     * no-op for every t below the returned cycle. The conservative
+     * default (0) promises nothing, for executors that do not track
+     * their pending events.
      */
     virtual Cycle nextEventAt(CpuId cpu) const
     {

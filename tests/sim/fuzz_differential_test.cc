@@ -68,8 +68,8 @@ TEST(FuzzScripts, DifferentSeedsDiffer)
 TEST(FuzzScripts, GeneratorInvariants)
 {
     const FuzzOptions opt = quickOptions(4);
-    const sim::MachineConfig mc = opt.machineConfig();
     for (uint64_t seed : {3u, 17u, 99u}) {
+        const sim::MachineConfig mc = opt.machineConfig(seed);
         const auto scripts = sim::buildFuzzScripts(seed, opt);
         ASSERT_EQ(scripts.size(), opt.numCpus);
         for (const auto &script : scripts) {
