@@ -70,9 +70,18 @@ MissClassifier::MissClassifier(uint32_t num_cpus, uint64_t mem_bytes,
     : nCpus(num_cpus), nLines(mem_bytes / line_bytes),
       lineBytes(line_bytes), appEpoch(num_cpus, 1)
 {
-    state.resize(size_t(num_cpus) * 2);
-    for (auto &v : state)
-        v.assign(nLines, 0);
+    state.reserve(size_t(num_cpus) * 2);
+    for (size_t i = 0; i < size_t(num_cpus) * 2; ++i)
+        state.emplace_back(nLines);
+}
+
+uint64_t
+MissClassifier::pagesAllocated() const
+{
+    uint64_t n = 0;
+    for (const auto &t : state)
+        n += t.pagesAllocated();
+    return n;
 }
 
 uint32_t &
@@ -83,7 +92,7 @@ MissClassifier::slot(CpuId cpu, CacheKind kind, Addr line)
         util::panic("classifier: line %llx beyond physical memory",
                     static_cast<unsigned long long>(line));
     return state[size_t(cpu) * 2 + (kind == CacheKind::Instr ? 0 : 1)]
-                [idx];
+        .at(idx);
 }
 
 void

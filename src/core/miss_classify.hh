@@ -24,6 +24,7 @@
 
 #include "sim/monitor.hh"
 #include "sim/types.hh"
+#include "util/paged_table.hh"
 
 namespace mpos::core
 {
@@ -116,6 +117,9 @@ class MissClassifier : public sim::MonitorObserver
 
     uint64_t writebacks() const { return nWritebacks; }
 
+    /** History pages allocated so far, over all CPUs and caches. */
+    uint64_t pagesAllocated() const;
+
   private:
     // Per-block tracking word: low 3 bits = status, bit 3 = ever
     // loaded, high 28 bits = app epoch at eviction.
@@ -141,8 +145,12 @@ class MissClassifier : public sim::MonitorObserver
     uint32_t nCpus;
     uint64_t nLines;
     uint32_t lineBytes;
-    /** [cpu][kind] flat arrays of tracking words. */
-    std::vector<std::vector<uint32_t>> state;
+    /**
+     * [cpu][kind] tracking words indexed by line number. A page is
+     * allocated on the first miss, eviction or invalidation that
+     * touches it; an untouched word reads 0 (never loaded).
+     */
+    std::vector<util::PagedTable<uint32_t>> state;
     /** Application-invocation epoch per CPU. */
     std::vector<uint32_t> appEpoch;
 

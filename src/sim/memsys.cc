@@ -1,6 +1,7 @@
 #include "sim/memsys.hh"
 
 #include <bit>
+#include <cstring>
 
 #include "sim/check/checker.hh"
 #include "util/error.hh"
@@ -17,7 +18,7 @@ CpuCaches::CpuCaches(CpuId id, const MachineConfig &cfg)
           cfg.lineBytes),
       l2d("l2d" + std::to_string(id), cfg.l2dBytes, cfg.l2dAssoc,
           cfg.lineBytes),
-      l2state(cfg.numLines(), Coh::Invalid),
+      l2state(cfg.numLines()),
       lineShift(uint32_t(std::countr_zero(cfg.lineBytes))),
       memBytes(cfg.memBytes)
 {
@@ -331,8 +332,16 @@ MemorySystem::saveState(util::ByteWriter &w) const
         h.icache.saveState(w);
         h.l1d.saveState(w);
         h.l2d.saveState(w);
-        w.u64(uint64_t(h.l2state.size()));
-        w.raw(h.l2state.data(), h.l2state.size());
+        // Dense, one byte per line, whichever pages are allocated: an
+        // absent page is a run of Invalid bytes.
+        w.u64(h.l2state.size());
+        for (uint64_t pg = 0; pg < h.l2state.numPages(); ++pg) {
+            const size_t len = size_t(h.l2state.pageLength(pg));
+            if (const Coh *d = h.l2state.pageData(pg))
+                w.raw(d, len);
+            else
+                w.zeros(len);
+        }
     }
     w.u64(uint64_t(sharers.size()));
     for (uint64_t m : sharers)
@@ -356,24 +365,46 @@ MemorySystem::restoreState(util::ByteReader &r)
         const uint64_t ns = r.u64();
         if (ns != h.l2state.size())
             util::raise(util::ErrCode::SnapshotCorrupt,
-                        "memsys: l2state size %llu vs %zu",
-                        (unsigned long long)ns, h.l2state.size());
-        r.raw(h.l2state.data(), h.l2state.size());
-        for (Coh s : h.l2state) {
-            if (uint8_t(s) > uint8_t(Coh::Modified))
-                util::raise(util::ErrCode::SnapshotCorrupt,
-                            "memsys: invalid coherence state byte %u",
-                            unsigned(s));
-            // A snapshot may only contain states its protocol can
-            // produce (MSI never E; MI never S or E).
-            if ((s == Coh::Exclusive &&
-                 cfg.protocol != Protocol::Mesi) ||
-                (s == Coh::Shared && cfg.protocol == Protocol::Mi))
-                util::raise(util::ErrCode::SnapshotCorrupt,
-                            "memsys: state %u illegal under protocol "
-                            "%s", unsigned(s),
-                            protocolName(cfg.protocol));
+                        "memsys: l2state size %llu vs %llu",
+                        (unsigned long long)ns,
+                        (unsigned long long)h.l2state.size());
+        // Only pages holding a non-Invalid state are allocated.
+        h.l2state.clear();
+        Coh buf[util::PagedTable<Coh>::pageEntries];
+        for (uint64_t pg = 0; pg < h.l2state.numPages(); ++pg) {
+            const size_t len = size_t(h.l2state.pageLength(pg));
+            r.raw(buf, len);
+            bool any = false;
+            for (size_t i = 0; i < len; ++i) {
+                const Coh s = buf[i];
+                if (uint8_t(s) > uint8_t(Coh::Modified))
+                    util::raise(util::ErrCode::SnapshotCorrupt,
+                                "memsys: invalid coherence state byte "
+                                "%u", unsigned(s));
+                // A snapshot may only contain states its protocol can
+                // produce (MSI never E; MI never S or E).
+                if ((s == Coh::Exclusive &&
+                     cfg.protocol != Protocol::Mesi) ||
+                    (s == Coh::Shared && cfg.protocol == Protocol::Mi))
+                    util::raise(util::ErrCode::SnapshotCorrupt,
+                                "memsys: state %u illegal under "
+                                "protocol %s", unsigned(s),
+                                protocolName(cfg.protocol));
+                any |= s != Coh::Invalid;
+            }
+            if (any)
+                std::memcpy(h.l2state.page(pg), buf, len);
         }
+        // The inline write-hit path reads an L1-resident line's state
+        // without a null test, relying on inclusion: the line is in
+        // the L2 with a non-Invalid state, so its page exists.
+        h.l1d.forEachResident([&](Addr line, bool) {
+            if (line >= cfg.memBytes || h.getState(line) == Coh::Invalid)
+                util::raise(util::ErrCode::SnapshotCorrupt,
+                            "memsys: cpu %u L1 line %llx has no valid "
+                            "L2 state", unsigned(h.cpu),
+                            (unsigned long long)line);
+        });
     }
     const uint64_t nf = r.u64();
     if (nf != sharers.size())

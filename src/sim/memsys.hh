@@ -26,6 +26,7 @@
 #include "sim/monitor.hh"
 #include "sim/types.hh"
 #include "util/binio.hh"
+#include "util/paged_table.hh"
 
 namespace mpos::sim
 {
@@ -56,8 +57,12 @@ struct CpuCaches
     Cache icache;
     Cache l1d;
     Cache l2d;
-    /** Coherence state per resident L2 line, indexed by line. */
-    std::vector<Coh> l2state;
+    /**
+     * Coherence state per physical line, indexed by line number. Pages
+     * are allocated on the first non-Invalid store, so the table costs
+     * memory in proportion to the lines this CPU has held in its L2.
+     */
+    util::PagedTable<Coh> l2state;
 
     Coh
     getState(Addr line) const
@@ -65,7 +70,7 @@ struct CpuCaches
         const uint64_t idx = line >> lineShift;
         if (idx >= l2state.size())
             rangePanic(line);
-        return l2state[idx];
+        return l2state.get(idx);
     }
 
     void
@@ -74,7 +79,7 @@ struct CpuCaches
         const uint64_t idx = line >> lineShift;
         if (idx >= l2state.size())
             rangePanic(line);
-        l2state[idx] = s;
+        l2state.set(idx, s);
     }
 
   private:
@@ -116,13 +121,17 @@ class MemorySystem
             if (!is_write)
                 return {1, false};
             // An L1 hit implies the line is resident in the inclusive
-            // L2, hence in range: skip getState's bounds check.
-            const Coh st = h.l2state[line >> lineShift];
+            // L2, hence in range: skip getState's bounds check. A
+            // resident line's state was set non-Invalid when l2Fill
+            // installed it (restoreState rejects an image that breaks
+            // this), so its l2state page exists: skip the null test.
+            Coh &st = h.l2state.resident(line >> lineShift);
             if (st != Coh::Shared) {
                 // Silent E -> M upgrade; M stays M. Shared needs the
-                // bus and falls through to the slow path.
+                // bus and falls through to the slow path. The sharers
+                // bit is already set, so only the state changes.
                 if (st != Coh::Modified) {
-                    setCohState(h, line, Coh::Modified);
+                    st = Coh::Modified;
                     if (checker)
                         checkLineEvent(line);
                 }
@@ -171,7 +180,7 @@ class MemorySystem
     /**
      * Snoop-filter bitmask of CPUs whose L2 holds the line in a
      * non-Invalid state (bit c = CPU c). Maintained alongside the
-     * per-CPU l2state arrays so bus transactions on unshared lines
+     * per-CPU l2state tables so bus transactions on unshared lines
      * skip the snoop walk entirely.
      */
     uint64_t sharersMask(Addr line) const
@@ -185,9 +194,10 @@ class MemorySystem
     void setChecker(Checker *c) { checker = c; }
 
     /// @name Snapshot save/restore
-    /// Every cache's packed tags, the per-CPU MESI arrays, the snoop
-    /// filter, bus occupancy horizon and transaction counter; all
-    /// geometry is reconstructed from config and validated.
+    /// Every cache's packed tags, the per-CPU coherence states (dense,
+    /// one byte per line), the snoop filter, bus occupancy horizon and
+    /// transaction counter; all geometry is reconstructed from config
+    /// and validated.
     /// @{
     void saveState(util::ByteWriter &w) const;
     void restoreState(util::ByteReader &r);

@@ -77,6 +77,9 @@ class ByteWriter
         buf.insert(buf.end(), b8, b8 + n);
     }
 
+    /** n zero bytes, no length prefix. */
+    void zeros(size_t n) { buf.insert(buf.end(), n, uint8_t(0)); }
+
     size_t size() const { return buf.size(); }
     const std::vector<uint8_t> &bytes() const { return buf; }
     std::vector<uint8_t> take() { return std::move(buf); }
@@ -168,7 +171,10 @@ class ByteReader
     raw(void *out, size_t n)
     {
         need(n);
-        std::memcpy(out, p, n);
+        // An empty vector's data() may be null, and memcpy from or to
+        // null is undefined even for zero bytes.
+        if (n)
+            std::memcpy(out, p, n);
         p += n;
     }
 

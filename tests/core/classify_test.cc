@@ -199,3 +199,43 @@ TEST_F(ClassifyTest, IdleMissesTrackedSeparately)
     EXPECT_EQ(mc.counts().idleI[unsigned(MissClass::Cold)], 1u);
     EXPECT_EQ(mc.counts().osTotal(), 0u);
 }
+
+TEST(ClassifyPaging, WideClassifierAllocatesNoPageBeforeFirstReference)
+{
+    // 64 CPUs x 64 MB: the dense history would be 32 MB per CPU.
+    MissClassifier wide(64, 64ULL << 20, 16);
+    EXPECT_EQ(wide.pagesAllocated(), 0u);
+    wide.busTransaction(rec(63, 0x100, BusOp::Read, CacheKind::Data,
+                            appCtx()));
+    EXPECT_EQ(wide.pagesAllocated(), 1u);
+    // A neighbouring line shares the page; the I-side history is a
+    // separate table.
+    wide.busTransaction(rec(63, 0x110, BusOp::Read, CacheKind::Data,
+                            appCtx()));
+    EXPECT_EQ(wide.pagesAllocated(), 1u);
+    wide.busTransaction(rec(63, 0x100, BusOp::Read, CacheKind::Instr,
+                            appCtx()));
+    EXPECT_EQ(wide.pagesAllocated(), 2u);
+    // Uncached accesses and writebacks keep no per-line history.
+    wide.busTransaction(rec(0, 0x100, BusOp::UncachedRead,
+                            CacheKind::Data, appCtx()));
+    wide.busTransaction(rec(0, 0x100, BusOp::Writeback, CacheKind::Data,
+                            appCtx()));
+    EXPECT_EQ(wide.pagesAllocated(), 2u);
+}
+
+TEST_F(ClassifyTest, LastLineWorksAndOutOfRangeLinePanics)
+{
+    const sim::Addr last = (1 << 20) - 16;
+    mc.busTransaction(rec(0, last, BusOp::Read, CacheKind::Data,
+                          appCtx()));
+    mc.evict(0, CacheKind::Data, last, appCtx());
+    mc.busTransaction(rec(0, last, BusOp::Read, CacheKind::Data,
+                          appCtx()));
+    EXPECT_EQ(mc.counts().appD[unsigned(MissClass::Dispap)], 1u);
+    EXPECT_DEATH(mc.busTransaction(rec(0, 1 << 20, BusOp::Read,
+                                       CacheKind::Data, appCtx())),
+                 "beyond physical memory");
+    EXPECT_DEATH(mc.invalSharing(1, CacheKind::Data, 1 << 20),
+                 "beyond physical memory");
+}

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include "sim/memsys.hh"
+#include "util/binio.hh"
+#include "util/error.hh"
 #include "util/rng.hh"
 
+using namespace mpos;
 using namespace mpos::sim;
 
 namespace
@@ -311,4 +314,109 @@ TEST(WideMachine, SixtyFourCpuSharerMaskTracksHighCpus)
     EXPECT_EQ(mem.sharersMask(line), uint64_t(1) << 63);
     EXPECT_EQ(mem.caches(63).getState(line), Coh::Modified);
     EXPECT_EQ(mem.caches(0).getState(line), Coh::Invalid);
+}
+
+TEST(PagedState, WideMachineAllocatesNoStatePageBeforeFirstReference)
+{
+    // 64 CPUs x 64 MB: a dense table would be 4 MB of coherence state
+    // per CPU. Until a CPU references memory it must hold no page.
+    MachineConfig cfg;
+    cfg.numCpus = 64;
+    cfg.memBytes = 64ULL * 1024 * 1024;
+    Monitor mon;
+    MonitorContext ctx;
+    MemorySystem mem(cfg, mon);
+    for (CpuId c = 0; c < 64; ++c)
+        EXPECT_EQ(mem.caches(c).l2state.pagesAllocated(), 0u) << c;
+
+    mem.dataAccess(5, 0x2000, false, 0, ctx);
+    EXPECT_EQ(mem.caches(5).l2state.pagesAllocated(), 1u);
+    for (CpuId c = 0; c < 64; ++c) {
+        if (c != 5) {
+            EXPECT_EQ(mem.caches(c).l2state.pagesAllocated(), 0u) << c;
+        }
+    }
+    // A store from another CPU invalidates CPU 5's copy; writing
+    // Invalid allocates nothing new anywhere.
+    mem.dataAccess(9, 0x2000, true, 1, ctx);
+    EXPECT_EQ(mem.caches(5).getState(0x2000), Coh::Invalid);
+    EXPECT_EQ(mem.caches(5).l2state.pagesAllocated(), 1u);
+    EXPECT_EQ(mem.caches(9).l2state.pagesAllocated(), 1u);
+}
+
+TEST(PagedState, LastLineWorksAndOutOfRangeLinePanics)
+{
+    MachineConfig cfg;
+    cfg.memBytes = 1024 * 1024;
+    Monitor mon;
+    MonitorContext ctx;
+    MemorySystem mem(cfg, mon);
+    const Addr last = cfg.memBytes - cfg.lineBytes;
+    mem.dataAccess(0, last, true, 0, ctx);
+    EXPECT_EQ(mem.caches(0).getState(last), Coh::Modified);
+    EXPECT_DEATH(mem.caches(0).getState(cfg.memBytes), "outside");
+    EXPECT_DEATH(mem.caches(1).setState(cfg.memBytes, Coh::Invalid),
+                 "outside");
+}
+
+TEST(PagedState, SnapshotRoundTripAllocatesOnlyHeldPages)
+{
+    MachineConfig cfg;
+    cfg.memBytes = 4 * 1024 * 1024;
+    Monitor mon;
+    MonitorContext ctx;
+    MemorySystem a(cfg, mon);
+    a.dataAccess(0, 0x1000, false, 0, ctx);
+    a.dataAccess(1, 0x1000, false, 1, ctx);
+    a.dataAccess(2, 0x300000, true, 2, ctx);
+    // CPU 3 holds one line, then loses it to CPU 2's store: its page
+    // stays allocated but holds only Invalid states.
+    a.dataAccess(3, 0x210000, false, 3, ctx);
+    a.dataAccess(2, 0x210000, true, 4, ctx);
+    util::ByteWriter w;
+    a.saveState(w);
+
+    Monitor mon2;
+    MemorySystem b(cfg, mon2);
+    util::ByteReader r(w.bytes());
+    b.restoreState(r);
+    EXPECT_TRUE(r.atEnd());
+    for (CpuId c = 0; c < cfg.numCpus; ++c) {
+        for (Addr line : {Addr(0x1000), Addr(0x210000), Addr(0x300000)})
+            EXPECT_EQ(b.caches(c).getState(line),
+                      a.caches(c).getState(line))
+                << c << " " << line;
+    }
+    EXPECT_EQ(b.caches(0).l2state.pagesAllocated(), 1u);
+    EXPECT_EQ(b.caches(1).l2state.pagesAllocated(), 1u);
+    EXPECT_EQ(b.caches(2).l2state.pagesAllocated(), 2u);
+    EXPECT_EQ(b.caches(3).l2state.pagesAllocated(), 0u);
+    util::ByteWriter w2;
+    b.saveState(w2);
+    EXPECT_EQ(w2.bytes(), w.bytes());
+}
+
+TEST(PagedState, RestoreRejectsAnL1LineWithoutAnL2State)
+{
+    MachineConfig cfg;
+    cfg.memBytes = 1024 * 1024;
+    Monitor mon;
+    MonitorContext ctx;
+    MemorySystem a(cfg, mon);
+    a.dataAccess(0, 0x1000, false, 0, ctx);
+    // Break inclusion's state half: the line stays in the L1 but its
+    // L2 state reads Invalid, which no run can produce.
+    a.caches(0).setState(0x1000, Coh::Invalid);
+    util::ByteWriter w;
+    a.saveState(w);
+
+    Monitor mon2;
+    MemorySystem b(cfg, mon2);
+    util::ByteReader r(w.bytes());
+    try {
+        b.restoreState(r);
+        FAIL() << "image accepted";
+    } catch (const util::SimError &e) {
+        EXPECT_EQ(e.code(), util::ErrCode::SnapshotCorrupt) << e.what();
+    }
 }
