@@ -7,7 +7,6 @@
 #include <filesystem>
 
 #include "bench/analyses.hh"
-#include "core/service.hh"
 #include "core/warmcache.hh"
 #include "sim/trace/trace.hh"
 #include "util/json.hh"
@@ -18,11 +17,6 @@ namespace mpos::bench
 // ---------------------------------------------------------------- //
 // Context                                                          //
 // ---------------------------------------------------------------- //
-
-BenchContext::BenchContext(unsigned jobs)
-    : runner_(jobs)
-{
-}
 
 BenchContext::BenchContext(const core::RunnerOptions &opt)
     : runner_(opt)
@@ -132,7 +126,7 @@ BenchContext::get(const std::string &name)
 const std::vector<BenchEntry> &
 benchRegistry()
 {
-    // Paper presentation order; names match the wrapper binaries.
+    // Paper presentation order; names are the --only keys.
     static const std::vector<BenchEntry> entries = {
         {"table01_workloads", "Table 1: workload characteristics",
          NeedsAll, nullptr, run_table01},
@@ -275,6 +269,19 @@ class StdoutCapture
 // escaper passed through raw, corrupting the report.
 using util::jsonEscape;
 
+/** Close a report file; false, with a message, if any write failed. */
+bool
+closeReport(FILE *f, const std::string &path)
+{
+    const bool failed = std::ferror(f);
+    if (std::fclose(f) != 0 || failed) {
+        std::fprintf(stderr, "mpos_bench: cannot write %s\n",
+                     path.c_str());
+        return false;
+    }
+    return true;
+}
+
 /** Write one analysis's captured output as a golden JSON file. */
 void
 writeGolden(const std::string &dir, const char *name, bool ok,
@@ -307,7 +314,8 @@ writeGolden(const std::string &dir, const char *name, bool ok,
                      i + 1 < lines.size() ? "," : "");
     }
     std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
+    if (!closeReport(f, path))
+        std::exit(2);
 }
 
 /** Per-job metrics windows as a JSON object (already indented). */
@@ -372,7 +380,7 @@ writeJobProfile(FILE *f, const sim::trace::Profiler &pf)
                  (unsigned long long)busTx, (unsigned long long)stall);
 }
 
-void
+bool
 writeJson(const std::string &path, bool smoke, unsigned jobs,
           const ObsOptions &obs,
           const core::WarmStartCache *warm_cache,
@@ -384,7 +392,7 @@ writeJson(const std::string &path, bool smoke, unsigned jobs,
     if (!f) {
         std::fprintf(stderr, "mpos_bench: cannot write %s\n",
                      path.c_str());
-        return;
+        return false;
     }
     sim::Protocol proto = sim::Protocol::Mesi;
     if (const char *p = std::getenv("MPOS_PROTOCOL"))
@@ -498,7 +506,7 @@ writeJson(const std::string &path, bool smoke, unsigned jobs,
                  simSeconds > 0 ? double(monitorEvents) / simSeconds
                                 : 0.0,
                  simSeconds, totalWall);
-    std::fclose(f);
+    return closeReport(f, path);
 }
 
 /**
@@ -526,7 +534,7 @@ struct MergedJobRow
  * byte-identical file to one that ran uninterrupted (the
  * crash-recovery matrix diffs exactly this).
  */
-void
+bool
 writeJsonJournal(const std::string &path, bool smoke, unsigned jobs,
                  const std::string &cache_dir,
                  bool have_cache,
@@ -537,7 +545,7 @@ writeJsonJournal(const std::string &path, bool smoke, unsigned jobs,
     if (!f) {
         std::fprintf(stderr, "mpos_bench: cannot write %s\n",
                      path.c_str());
-        return;
+        return false;
     }
     sim::Protocol proto = sim::Protocol::Mesi;
     if (const char *p = std::getenv("MPOS_PROTOCOL"))
@@ -600,7 +608,7 @@ writeJsonJournal(const std::string &path, bool smoke, unsigned jobs,
     std::fprintf(f,
                  "  \"monitor_events_total\": %llu\n}\n",
                  (unsigned long long)monitorEvents);
-    std::fclose(f);
+    return closeReport(f, path);
 }
 
 void
@@ -689,13 +697,6 @@ usage()
         "  --dry-run       print the planned job list (validated "
         "JSON) and exit\n"
         "                  without simulating\n"
-        "  --serve PATH    persistent daemon on a Unix socket: "
-        "newline-delimited\n"
-        "                  JSON requests, admission control, journal "
-        "recovery\n"
-        "  --queue N       --serve admission bound: reject run "
-        "requests beyond\n"
-        "                  N in flight (default 8; 0 rejects all)\n"
         "  --help          this text\n\n"
         "Environment: MPOS_CYCLES, MPOS_WARMUP, MPOS_SEED, "
         "MPOS_JOBS, MPOS_CHECK,\n"
@@ -705,10 +706,8 @@ usage()
         "MPOS_SNAPSHOT_DIR (same as --snapshot-dir).\n");
 }
 
-} // namespace
-
 int
-benchMain(int argc, char **argv)
+runBench(int argc, char **argv)
 {
     std::string jsonPath = "mpos_bench_results.json";
     std::string goldenDir;
@@ -725,10 +724,8 @@ benchMain(int argc, char **argv)
     if (const char *env = std::getenv("MPOS_SNAPSHOT_DIR"))
         snapshotDir = env;
     std::string journalDir;
-    std::string servePath;
     bool resume = false;
     bool dryRun = false;
-    unsigned queueMax = 8;
     ObsOptions obs;
     obs.dir = "mpos_bench_obs";
 
@@ -791,11 +788,6 @@ benchMain(int argc, char **argv)
             resume = true;
         } else if (arg == "--dry-run") {
             dryRun = true;
-        } else if (arg == "--serve") {
-            servePath = value("--serve");
-        } else if (arg == "--queue") {
-            queueMax = unsigned(
-                std::strtoul(value("--queue"), nullptr, 10));
         } else if (arg == "--help" || arg == "-h") {
             usage();
             return 0;
@@ -846,7 +838,7 @@ benchMain(int argc, char **argv)
         }
     }
 
-    // Journal/resume/serve sanity: the observability layer writes
+    // Journal/resume sanity: the observability layer writes
     // per-job side files and wall-clock-dependent report sections,
     // which can never be byte-identical across a kill+resume.
     if (resume && journalDir.empty()) {
@@ -858,12 +850,6 @@ benchMain(int argc, char **argv)
         std::fprintf(stderr,
                      "mpos_bench: --journal/--resume cannot be "
                      "combined with --trace/--metrics/--profile\n");
-        return 2;
-    }
-    if (dryRun && !servePath.empty()) {
-        std::fprintf(stderr,
-                     "mpos_bench: --dry-run and --serve are "
-                     "mutually exclusive\n");
         return 2;
     }
 
@@ -884,9 +870,7 @@ benchMain(int argc, char **argv)
     if (!journalDir.empty() && !dryRun) {
         std::filesystem::create_directories(journalDir);
         journal = std::make_unique<core::SweepJournal>();
-        // A daemon always resumes its journal: restart recovery is
-        // the point of running one.
-        journal->open(journalDir, resume || !servePath.empty());
+        journal->open(journalDir, resume);
         ropt.journal = journal.get();
         if (warmCache) {
             // Re-quarantine before any job can look up a warm image:
@@ -905,15 +889,6 @@ benchMain(int argc, char **argv)
                 journal->state().truncatedTail ? " (torn tail dropped)"
                                                : "");
         }
-    }
-
-    if (!servePath.empty()) {
-        core::ServiceOptions sopt;
-        sopt.socketPath = servePath;
-        sopt.maxQueue = queueMax;
-        sopt.runner = ropt;
-        core::SweepService service(sopt);
-        return service.serve();
     }
 
     BenchContext ctx(ropt);
@@ -1120,6 +1095,7 @@ benchMain(int argc, char **argv)
 
     const double totalWall = secondsSince(t0);
     size_t journalFailedJobs = 0;
+    bool reportOk;
     if (journal) {
         // Deterministic report from the merged plan: replayed plan
         // order first (the killed run's submissions), then anything
@@ -1178,12 +1154,14 @@ benchMain(int argc, char **argv)
                 ++journalFailedJobs;
             rows.push_back(std::move(row));
         }
-        writeJsonJournal(jsonPath, smoke, ctx.runner().jobs(),
-                         snapshotDir, warmCache != nullptr, rows,
-                         records);
+        reportOk = writeJsonJournal(jsonPath, smoke,
+                                    ctx.runner().jobs(), snapshotDir,
+                                    warmCache != nullptr, rows,
+                                    records);
     } else {
-        writeJson(jsonPath, smoke, ctx.runner().jobs(), obs,
-                  warmCache.get(), ctx.runner(), records, totalWall);
+        reportOk = writeJson(jsonPath, smoke, ctx.runner().jobs(), obs,
+                             warmCache.get(), ctx.runner(), records,
+                             totalWall);
     }
     if (warmCache) {
         const core::WarmCacheStats ws = warmCache->stats();
@@ -1229,30 +1207,31 @@ benchMain(int argc, char **argv)
     std::fprintf(stderr,
                  "[mpos_bench] %zu analyses (%zu failed), %zu "
                  "simulation jobs (%zu failed), %.1fs wall on %u "
-                 "threads; results in %s\n",
+                 "threads; %s %s\n",
                  records.size(), failed, ctx.runner().size(),
                  failedJobs, totalWall, ctx.runner().jobs(),
+                 reportOk ? "results in" : "no report:",
                  jsonPath.c_str());
+    if (!reportOk)
+        return 2;
     return failed || failedJobs || obsFailures ? 1 : 0;
 }
 
+} // namespace
+
 int
-singleBenchMain(const char *name)
+benchMain(int argc, char **argv)
 {
-    const BenchEntry *e = findBench(name);
-    if (!e) {
-        std::fprintf(stderr, "unknown bench entry '%s'\n", name);
+    // Analysis and job failures are caught and reported where they
+    // happen; anything that escapes is a setup error (an unreadable
+    // journal, a path under a regular file), so fail cleanly.
+    try {
+        return runBench(argc, argv);
+    } catch (const std::exception &e) {
+        std::fflush(stdout);
+        std::fprintf(stderr, "mpos_bench: %s\n", e.what());
         return 2;
     }
-    BenchContext ctx;
-    for (int i = 0; i < 3; ++i) {
-        if (e->standardMask & (1u << i))
-            ctx.prepareStandard(allWorkloads[i]);
-    }
-    if (e->prepare)
-        e->prepare(ctx);
-    e->run(ctx);
-    return 0;
 }
 
 } // namespace mpos::bench

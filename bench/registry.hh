@@ -13,8 +13,8 @@
  * Results are consumed in submission order, so the printed tables are
  * byte-identical no matter how many host threads ran the sweep.
  *
- * `mpos_bench` runs every analysis; the historical per-figure
- * binaries are two-line wrappers that run exactly one.
+ * `mpos_bench` runs every analysis; `mpos_bench --only <name>`
+ * runs one.
  */
 
 #ifndef MPOS_BENCH_REGISTRY_HH
@@ -49,10 +49,7 @@ std::string obsFileBase(const std::string &dir, const std::string &job);
 class BenchContext
 {
   public:
-    /** @param jobs Worker threads; 0 means MPOS_JOBS/default. */
-    explicit BenchContext(unsigned jobs = 0);
-
-    /** Full resilience policy (timeouts, retries). */
+    /** Runner policy: threads, timeouts, retries, cache, journal. */
     explicit BenchContext(const core::RunnerOptions &opt);
 
     /**
@@ -89,7 +86,7 @@ class BenchContext
 
     /**
      * Journal every submission (a write-ahead Plan record per job;
-     * the runner adds JobStart/JobEnd via RunnerOptions::journal).
+     * the runner adds JobEnd via RunnerOptions::journal).
      */
     void setJournal(core::SweepJournal *j) { journal_ = j; }
 
@@ -131,7 +128,7 @@ inline constexpr uint32_t NeedsAll = 7;
 /** One registered figure/table analysis. */
 struct BenchEntry
 {
-    const char *name;  ///< Registry + binary name ("fig01_pattern").
+    const char *name;  ///< Registry name ("fig01_pattern").
     const char *title; ///< One-line description for --list.
     uint32_t standardMask; ///< Standard runs the analysis consumes.
     /** Queues extra sweep jobs (nullptr if none). Idempotent. */
@@ -151,9 +148,6 @@ std::string standardJobName(workload::WorkloadKind kind);
 
 /** Entry point of the unified `mpos_bench` driver. */
 int benchMain(int argc, char **argv);
-
-/** Entry point of the historical single-figure wrapper binaries. */
-int singleBenchMain(const char *name);
 
 } // namespace mpos::bench
 

@@ -13,20 +13,21 @@
  *
  * File format (`sweep.mpj`, all integers little-endian via binio):
  *
- *   header   "MPOSJRN1" (8)  version u32
+ *   header   "MPOSJRN1" (8)  version u32 (2)
  *   record*  u32 payload_len, payload bytes, u64 fnv1a(payload)
  *
  * Each payload starts with a u8 record type:
  *
  *   0x01 Plan        str name, u64 config_hash
- *   0x02 JobStart    str name, u64 config_hash, u64 seed,
- *                    u32 attempt, str request_tag
  *   0x03 JobEnd      str name, u64 config_hash, u8 status,
  *                    u32 attempts, str error, u64 monitor_tx,
  *                    u64 invariant_checks, u8 kind, u32 cpus,
  *                    u64 measure_cycles
  *   0x04 AnalysisEnd str name, b ok, str error, str output
  *   0x05 PoisonKey   u64 warm_key
+ *
+ * (0x02 held version 1's per-attempt start record; replay refuses
+ * any version but its own, so a version 1 file is never misread.)
  *
  * Recovery invariants:
  *  - A torn tail (truncated or checksum-failing final record: the
@@ -37,10 +38,10 @@
  *    order, before the job can run: they are the deterministic
  *    ordering skeleton the resumed report is rebuilt on, independent
  *    of which worker finished (or died) when.
- *  - A JobStart without a matching JobEnd marks in-flight work: the
- *    process died mid-job, so the job re-runs. Its request_tag (the
- *    service's original request line) lets a restarted daemon
- *    reassociate the rerun with its request.
+ *  - Work is resumed per analysis, not per job: every job an
+ *    unfinished analysis needs re-runs, reproducing the killed run's
+ *    events. A JobEnd serves the report row of a job this run
+ *    skipped, and only while its config hash matches the plan.
  *  - PoisonKey records persist the warm-cache quarantine: a resumed
  *    sweep never warm-starts from an image a failed attempt touched,
  *    even across process restarts.
@@ -65,7 +66,6 @@ struct ExperimentConfig;
 /// @name Journal record types (the u8 leading each payload)
 /// @{
 inline constexpr uint8_t journalPlan = 0x01;
-inline constexpr uint8_t journalJobStart = 0x02;
 inline constexpr uint8_t journalJobEnd = 0x03;
 inline constexpr uint8_t journalAnalysisEnd = 0x04;
 inline constexpr uint8_t journalPoisonKey = 0x05;
@@ -86,16 +86,6 @@ struct JournalJobRow
     uint64_t measureCycles = 0;
 };
 
-/** A replayed JobStart (the latest one per job name). */
-struct JournalJobStart
-{
-    std::string name;
-    uint64_t configHash = 0;
-    uint64_t seed = 0;
-    uint32_t attempt = 0;
-    std::string requestTag;
-};
-
 /** A replayed AnalysisEnd. */
 struct JournalAnalysis
 {
@@ -112,8 +102,6 @@ struct JournalState
     std::vector<std::pair<std::string, uint64_t>> plan;
     /** Settled jobs, keyed by name (last JobEnd wins). */
     std::unordered_map<std::string, JournalJobRow> jobs;
-    /** Latest JobStart per name (matched or not). */
-    std::unordered_map<std::string, JournalJobStart> started;
     /** Completed analyses, keyed by name (last record wins). */
     std::unordered_map<std::string, JournalAnalysis> analyses;
     /** Warm-cache keys quarantined by failed attempts. */
@@ -122,13 +110,6 @@ struct JournalState
     bool truncatedTail = false;
     /** Intact records replayed. */
     size_t records = 0;
-
-    /** True if name has a JobStart but no JobEnd (died mid-job). */
-    bool
-    inFlight(const std::string &name) const
-    {
-        return started.count(name) && !jobs.count(name);
-    }
 };
 
 /**
@@ -167,17 +148,12 @@ class SweepJournal
      */
     void open(const std::string &dir, bool resume);
 
-    bool isOpen() const { return f != nullptr; }
-
     /** Replayed state (empty unless open(dir, true) found records). */
     const JournalState &state() const { return st; }
 
     /// @name Appends (each one durable before the call returns)
     /// @{
     void appendPlan(const std::string &name, uint64_t config_hash);
-    void appendJobStart(const std::string &name, uint64_t config_hash,
-                        uint64_t seed, uint32_t attempt,
-                        const std::string &request_tag);
     void appendJobEnd(const JournalJobRow &row);
     void appendAnalysisEnd(const std::string &name, bool ok,
                            const std::string &error,

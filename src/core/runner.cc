@@ -95,8 +95,8 @@ ExperimentRunner::submit(std::string name,
             opt.journal ? SweepJournal::jobConfigHash(slot->cfg) : 0;
         for (uint32_t attempt = 1; attempt <= tries; ++attempt) {
             ExperimentConfig cfg = slot->cfg;
-            // A per-job budget set on the config (e.g. by a service
-            // request) wins over the runner-wide default.
+            // A per-job budget set on the config wins over the
+            // runner-wide default.
             if (cfg.timeoutSeconds <= 0)
                 cfg.timeoutSeconds = opt.jobTimeoutSec;
             cfg.warmCache = opt.warmCache;
@@ -120,11 +120,6 @@ ExperimentRunner::submit(std::string name,
                                  cfg.options.seed));
             }
             slot->attempts = attempt;
-            if (opt.journal) {
-                opt.journal->appendJobStart(slot->name, jhash,
-                                            cfg.options.seed, attempt,
-                                            cfg.requestTag);
-            }
             if (runAttempt(slot, cfg))
                 break;
             if (opt.warmCache) {

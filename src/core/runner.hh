@@ -90,11 +90,11 @@ struct RunnerOptions
      */
     WarmStartCache *warmCache = nullptr;
     /**
-     * Sweep journal; null disables. Workers write a JobStart per
-     * attempt and a JobEnd when the job settles, and a failed attempt
-     * poisons its warm key both in the cache and in the journal -- so
-     * a killed sweep can be resumed without re-running settled jobs
-     * and without ever reusing a failed seed's warm image.
+     * Sweep journal; null disables. Workers write a JobEnd when the
+     * job settles (the row a resumed report serves), and a failed
+     * attempt poisons its warm key both in the cache and in the
+     * journal -- so a resumed sweep never reuses a failed seed's warm
+     * image.
      */
     SweepJournal *journal = nullptr;
 };

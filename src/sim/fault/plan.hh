@@ -30,7 +30,7 @@ namespace mpos::sim
 {
 
 /// @name Deterministic process-crash points
-/// Service-level fault injection for the crash-recovery tests: a
+/// Process-level fault injection for the crash-recovery tests: a
 /// named point in the code (journal append, snapshot write, analysis
 /// record) calls crashPoint(name), and when the environment selects
 /// that point -- MPOS_CRASH="<name>" or "<name>:<n>" (die on the n-th

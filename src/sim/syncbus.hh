@@ -110,8 +110,8 @@ class SyncTransport
      * copy); pass -1 when the event has no peer.
      *
      * Raises SimError(BadConfig) on an out-of-range lock id — ids
-     * arrive from snapshots and --serve requests, so a malformed one
-     * must travel the typed error channel, not abort the process.
+     * arrive from snapshot images, so a malformed one must travel the
+     * typed error channel, not abort the process.
      */
     Cycle access(CpuId cpu, uint32_t lock_id, LockEvent ev,
                  int peer = -1);

@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "util/error.hh"
+#include "util/json.hh"
 
 namespace mpos::sim::trace
 {
@@ -272,27 +273,6 @@ Tracer::contextSwitch(Cycle cycle, CpuId cpu, Pid from, Pid to)
 namespace
 {
 
-/** JSON string escape for symbol names (plain ASCII expected). */
-std::string
-jsonString(const std::string &s)
-{
-    std::string out;
-    for (char c : s) {
-        const unsigned char u = (unsigned char)c;
-        if (c == '"' || c == '\\') {
-            out += '\\';
-            out += c;
-        } else if (u < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof buf, "\\u%04x", u);
-            out += buf;
-        } else {
-            out += c;
-        }
-    }
-    return out;
-}
-
 /**
  * MPOSTRC1 stream reader. The file is untrusted input: every length
  * and id is validated against what the format can legally hold, and a
@@ -446,7 +426,7 @@ emitEventJson(FILE *out, const TraceEvent &ev,
                 !symbols[ev.ctx.routine].empty()) {
                 std::fprintf(
                     out, ",\"routine\":\"%s\"",
-                    jsonString(symbols[ev.ctx.routine]).c_str());
+                    util::jsonEscape(symbols[ev.ctx.routine]).c_str());
             } else {
                 std::fprintf(out, ",\"routine\":%u",
                              unsigned(ev.ctx.routine));

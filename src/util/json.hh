@@ -6,11 +6,12 @@
  * is fine until a string needs escaping: the original escaper missed
  * control characters, so an error message containing a tab or carriage
  * return produced an unparseable report. jsonEscape() here implements
- * the full RFC 8259 string escaping rules, and validate() is a small
- * syntax checker used by the tests (and the mpos_trace tool) to assert
- * that everything the writers emit actually parses. It is not a
- * general-purpose parser: it validates structure and returns the
- * position of the first error, nothing more.
+ * the full RFC 8259 string escaping rules, and jsonValidate() is a
+ * small syntax checker used by the tests, the `mpos_bench --dry-run`
+ * plan and the mpos_trace tool to assert that everything the writers
+ * emit actually parses. It is not a general-purpose parser: it
+ * validates structure and returns the position of the first error,
+ * nothing more.
  */
 
 #ifndef MPOS_UTIL_JSON_HH
@@ -18,8 +19,6 @@
 
 #include <cstddef>
 #include <string>
-#include <utility>
-#include <vector>
 
 namespace mpos::util
 {
@@ -42,48 +41,6 @@ std::string jsonString(const std::string &s);
  */
 bool jsonValidate(const std::string &text, size_t *error_pos = nullptr,
                   std::string *error = nullptr);
-
-/**
- * A decoded JSON value. The sweep service parses untrusted request
- * lines into this before touching any field, so the DOM keeps the
- * validator's strictness (same grammar, same depth cap) and adds
- * escape decoding. Object member order is preserved; duplicate keys
- * are kept and find() returns the first.
- */
-struct JsonValue
-{
-    enum class Kind : uint8_t
-    {
-        Null,
-        Bool,
-        Number,
-        String,
-        Object,
-        Array,
-    };
-
-    Kind kind = Kind::Null;
-    bool boolean = false;
-    double number = 0;
-    std::string text; ///< String payload (escapes decoded).
-    std::vector<std::pair<std::string, JsonValue>> members;
-    std::vector<JsonValue> items;
-
-    bool isObject() const { return kind == Kind::Object; }
-    bool isString() const { return kind == Kind::String; }
-    bool isNumber() const { return kind == Kind::Number; }
-
-    /** First member named key, or null (objects only). */
-    const JsonValue *find(const std::string &key) const;
-};
-
-/**
- * Parse text as one well-formed JSON value (the jsonValidate grammar).
- * On failure returns false and sets *error (when non-null) to a short
- * description; out is left in an unspecified state.
- */
-bool jsonParse(const std::string &text, JsonValue &out,
-               std::string *error = nullptr);
 
 } // namespace mpos::util
 

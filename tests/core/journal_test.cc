@@ -73,9 +73,7 @@ TEST(SweepJournal, RoundTripsEveryRecordType)
         j.open(dir, false);
         j.appendPlan("std/Pmake", 0x1111);
         j.appendPlan("fig11/cpus4", 0x2222);
-        j.appendJobStart("std/Pmake", 0x1111, 7, 1, "tag-a");
         j.appendJobEnd(sampleRow("std/Pmake", 0x1111));
-        j.appendJobStart("fig11/cpus4", 0x2222, 9, 2, "");
         j.appendAnalysisEnd("fig11_lock_scaling", true, "",
                             "table body\nwith two lines\n");
         j.appendPoison(0xdeadbeef);
@@ -97,13 +95,8 @@ TEST(SweepJournal, RoundTripsEveryRecordType)
     EXPECT_EQ(row.cpus, 4u);
     EXPECT_EQ(row.measureCycles, 300000u);
 
-    // fig11/cpus4 has a JobStart but no JobEnd: it died in flight.
-    EXPECT_FALSE(st.inFlight("std/Pmake"));
-    EXPECT_TRUE(st.inFlight("fig11/cpus4"));
-    ASSERT_TRUE(st.started.count("fig11/cpus4"));
-    EXPECT_EQ(st.started.at("fig11/cpus4").seed, 9u);
-    EXPECT_EQ(st.started.at("fig11/cpus4").attempt, 2u);
-    EXPECT_EQ(st.started.at("std/Pmake").requestTag, "tag-a");
+    // fig11/cpus4 is planned but never settled: it has no row.
+    EXPECT_FALSE(st.jobs.count("fig11/cpus4"));
 
     ASSERT_TRUE(st.analyses.count("fig11_lock_scaling"));
     EXPECT_TRUE(st.analyses.at("fig11_lock_scaling").ok);
@@ -210,6 +203,25 @@ TEST(SweepJournal, RejectsAForeignFile)
     std::fclose(f);
     SweepJournal j;
     EXPECT_THROW(j.open(dir, true), util::SimError);
+
+    // A well-formed version 1 header: the right magic, an older
+    // version. Refused with a typed error naming both versions.
+    f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    const unsigned char v1[12] = {'M', 'P', 'O', 'S', 'J', 'R',
+                                  'N', '1', 1,   0,   0,   0};
+    std::fwrite(v1, 1, sizeof v1, f);
+    std::fclose(f);
+    SweepJournal old;
+    try {
+        old.open(dir, true);
+        FAIL() << "a version 1 journal was accepted";
+    } catch (const util::SimError &e) {
+        EXPECT_EQ(e.code(), util::ErrCode::BadConfig);
+        const std::string what = e.what();
+        EXPECT_NE(what.find("version 1"), std::string::npos) << what;
+        EXPECT_NE(what.find("reads 2"), std::string::npos) << what;
+    }
 }
 
 TEST(SweepJournal, JobConfigHashTracksMeasuredIdentity)
@@ -227,10 +239,4 @@ TEST(SweepJournal, JobConfigHashTracksMeasuredIdentity)
     longer.measureCycles = 600000;
     EXPECT_NE(SweepJournal::jobConfigHash(a),
               SweepJournal::jobConfigHash(longer));
-
-    // The request tag is an opaque caller label, not job identity.
-    ExperimentConfig tagged = quickConfig(7);
-    tagged.requestTag = "{\"op\":\"run\"}";
-    EXPECT_EQ(SweepJournal::jobConfigHash(a),
-              SweepJournal::jobConfigHash(tagged));
 }

@@ -5,6 +5,7 @@
 
 #include "kernel/kernel.hh"
 #include "sim/machine.hh"
+#include "util/binio.hh"
 
 using namespace mpos;
 using namespace mpos::kernel;
@@ -257,6 +258,52 @@ TEST_F(KernelTest, ClockInterruptsTickEvenWhenIdle)
 {
     m->run(mcfg.clockTickCycles * 3);
     EXPECT_GT(k->osOpCounts().count[unsigned(OsOp::Interrupt)], 2u);
+}
+
+TEST_F(KernelTest, NextEventAtBoundsTheFirstEffectivePoll)
+{
+    // No process and no tty session, so the clock is the only event
+    // source. The behavior codec is never consulted: no process lives.
+    struct NoCodec : BehaviorCodec
+    {
+        void save(util::ByteWriter &, const AppBehavior &) const override
+        {
+            ADD_FAILURE() << "no behavior to save";
+        }
+        std::unique_ptr<AppBehavior>
+        load(util::ByteReader &) const override
+        {
+            return nullptr;
+        }
+    } codec;
+    auto state = [&] {
+        util::ByteWriter w;
+        k->saveState(w, codec);
+        return w.bytes();
+    };
+    for (CpuId cpu = 0; cpu < mcfg.numCpus; ++cpu) {
+        const sim::Cycle next = k->nextEventAt(cpu);
+        ASSERT_GT(next, 0u);
+        const auto before = state();
+        const uint64_t queued = m->cpu(cpu).script.size();
+        // Every poll below the promised cycle is a no-op.
+        for (sim::Cycle t = 0; t < next; ++t) {
+            k->pollEvents(cpu, t);
+            ASSERT_EQ(m->cpu(cpu).script.size(), queued) << "t=" << t;
+            ASSERT_EQ(k->nextEventAt(cpu), next) << "t=" << t;
+        }
+        EXPECT_EQ(state(), before);
+        // At the promised cycle the clock interrupt arrives and the
+        // next one is a full tick later.
+        k->pollEvents(cpu, next);
+        ASSERT_GT(m->cpu(cpu).script.size(), queued);
+        const sim::ScriptItem &first = m->cpu(cpu).script.at(0);
+        EXPECT_EQ(first.kind, sim::ItemKind::Marker);
+        EXPECT_EQ(first.marker, MarkerOp::OsEnter);
+        EXPECT_EQ(OsOp(first.addr), OsOp::Interrupt);
+        EXPECT_EQ(k->nextEventAt(cpu), next + mcfg.clockTickCycles);
+        EXPECT_NE(state(), before);
+    }
 }
 
 TEST_F(KernelTest, QuantumPreemptionRotatesHogs)

@@ -116,8 +116,8 @@ TEST(SyncBus, OutOfRangeLockIdRaisesTypedError)
 {
     MachineConfig cfg;
     SyncTransport st(cfg, 4);
-    // Lock ids arrive from snapshots and --serve requests, so a bad
-    // one must travel the typed error channel, not panic.
+    // Lock ids arrive from snapshot images, so a bad one must travel
+    // the typed error channel, not panic.
     try {
         st.access(0, 4, LockEvent::AcquireSuccess);
         FAIL() << "out-of-range access was accepted";
